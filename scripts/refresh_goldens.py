@@ -8,7 +8,10 @@ and jobs=N, traced and untraced, faulted and fault-free.
 
 Only rerun this script when a change *intentionally* alters trajectories
 (e.g. a protocol fix) — never to paper over an unexplained diff from a
-"pure" performance change, which by definition must not move them.
+"pure" performance change, which by definition must not move them.  The
+committed goldens equal the runs with one heap entry per message; a
+refresh records on the batched transport and so no longer checks that
+batching is invisible.
 """
 
 import json

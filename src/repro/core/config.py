@@ -146,13 +146,9 @@ class SimulationConfig:
     # reproduce the serial trajectory exactly.
     termination: str = "global"
 
-    # kernel: coalesce same-timestamp deliveries per link into one heap
-    # entry that fans out on pop (bit-identical trajectories; see
-    # network/transport.py). Off switch for A/B benchmarking.
-    batch_delivery: bool = True
-    # run shards as conservatively-synchronized logical processes over
-    # a process pool (repro.core.lp); requires n_shards > 1, quota
-    # termination, and a shard-local workload (cross_shard_probability=0)
+    # run shards as independent logical processes over a process pool
+    # (repro.core.lp); requires n_shards > 1, quota termination, and a
+    # shard-local workload (cross_shard_probability=0)
     lp: bool = False
 
     # adaptive concurrency control (repro.adapt): the three controllers
@@ -183,7 +179,6 @@ class SimulationConfig:
     # Tracing never perturbs results — metrics are bit-identical either way.
     trace: bool = False
     probe_interval: Optional[float] = None  # sim-time between gauge samples
-    trace_engine: bool = False  # per-heap-entry engine events (very hot)
 
     def __post_init__(self):
         if self.faults is not None:

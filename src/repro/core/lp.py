@@ -36,19 +36,17 @@ Why the decomposition is exact
   (:func:`~repro.protocols.sharded.make_lp_shard`): the shared DAG of
   the serial run is the disjoint union of per-shard components.
 
-Synchronization
----------------
+Execution
+---------
 
-The general machinery is conservative window synchronization in the
-YAWNS/CMB style: the parent grants every LP the window
-``[now, min_i(next_event_i) + lookahead)``, where the lookahead is the
-minimum latency of any cross-LP link — no LP can receive a remote event
-earlier than a granted horizon, so draining the window is safe. With a
-shard-closed workload no cross-LP message can ever exist, the lookahead
-is infinite, and the protocol degenerates to its fast path: a single
-unbounded window per LP (``sim.run(until=done)``). A finite lookahead
-(exercised by ``tests/test_lp.py``) drives the real
-:meth:`~repro.sim.engine.Simulator.run_window` round trips.
+Because no message crosses a shard boundary, the LPs need no
+synchronization: each worker runs its heap straight to its quota-done
+event (``sim.run(until=done)``) and returns its payload. The LPs run
+as tasks on a spawn-context
+:class:`~concurrent.futures.ProcessPoolExecutor` (the same primitive as
+:mod:`repro.core.parallel`), so a worker's exception re-raises in the
+parent through its future. A stalled heap or a message addressed to
+another shard's site surfaces as a ``RuntimeError`` naming the shard.
 
 Nested pools: when this process is itself a worker (``--lp`` inside
 ``--jobs N``), spawning grandchildren would oversubscribe the machine,
@@ -57,16 +55,12 @@ the ordinary serial path with a warning — sound because the LP result is
 identical to the serial one by construction.
 """
 
-import math
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
 from repro.stats.collector import MetricsCollector
-
-#: Worker processes get this long to deliver their result before the
-#: parent declares the run wedged (wall-clock; generous on purpose).
-_JOIN_TIMEOUT = 60.0
 
 
 def in_worker_process():
@@ -121,32 +115,6 @@ def validate_lp_config(config):
             f"({config.n_clients} clients < {config.n_shards} shards)")
 
 
-def derive_lookahead(config):
-    """The conservative lookahead: the minimum latency of any cross-LP
-    link, or ``inf`` when no cross-LP message can exist (shard-local
-    workload) and every LP may free-run to completion."""
-    if (config.cross_shard_probability or 0.0) == 0.0:
-        return math.inf
-    from repro.core.runner import _build_topology
-    from repro.protocols.sharding import ShardMap
-
-    shard_map = ShardMap(config.n_shards, config.n_items)
-    topology = _build_topology(config, shard_map)
-    groups = []
-    for shard in range(config.n_shards):
-        groups.append([shard_map.server_ids[shard]]
-                      + lp_client_ids(config.n_clients, config.n_shards,
-                                      shard))
-    lookahead = math.inf
-    for i, group in enumerate(groups):
-        for other in groups[i + 1:]:
-            for a in group:
-                for b in other:
-                    lookahead = min(lookahead, topology.latency(a, b),
-                                    topology.latency(b, a))
-    return lookahead
-
-
 class _OutcomeLog:
     """Collector stand-in inside an LP worker: outcomes are shipped to
     the parent, which replays them through one real
@@ -185,8 +153,7 @@ def _build_lp(config, seed, shard):
     # region placement, identical to the serial run's model even though
     # only this LP's sites are registered.
     network = Network(sim, _build_topology(config, shard_map),
-                      bandwidth=config.bandwidth, faults=None,
-                      batch_delivery=config.batch_delivery)
+                      bandwidth=config.bandwidth, faults=None)
     client_ids = lp_client_ids(config.n_clients, config.n_shards, shard)
     store = VersionedStore(shard_map.items_of(shard))
     wal = WriteAheadLog()
@@ -207,8 +174,8 @@ def _build_lp(config, seed, shard):
     return sim, network, server, clients, control, sink, history
 
 
-def _shard_payload(config, shard, sim, network, server, clients, control,
-                   sink, history, done_at, check_serializability):
+def _shard_payload(config, shard, sim, network, server, clients, sink,
+                   history, check_serializability):
     """Post-run checks plus everything the parent needs for the merge."""
     from repro.validate.serializability import check_history
     from repro.validate.strictness import check_strictness
@@ -239,7 +206,7 @@ def _shard_payload(config, shard, sim, network, server, clients, control,
         "outcomes": sink.outcomes,
         "op_waits": {client_id: list(client.op_waits)
                      for client_id, client in clients.items()},
-        "now": done_at,
+        "now": sim.now,
         "messages_sent": network.stats.messages_sent,
         "data_units_sent": network.stats.data_units_sent,
         "aborts_initiated": server.aborts_initiated,
@@ -255,117 +222,34 @@ def _shard_payload(config, shard, sim, network, server, clients, control,
     }
 
 
-def _lp_worker(conn, config, seed, shard, lookahead, check_serializability):
-    """Worker entry point (top-level so the spawn pickler finds it)."""
+def _lp_worker(config, seed, shard, check_serializability):
+    """Worker entry point (top-level so the spawn pickler finds it): run
+    one LP to its quota-done event and return its merge payload."""
     from repro.sim.engine import relaxed_gc
     from repro.sim.errors import SimulationError
 
+    built = _build_lp(config, seed, shard)
+    sim, network, server, clients, control, sink, history = built
+    cpu_start = time.process_time()
     try:
-        built = _build_lp(config, seed, shard)
-        sim, network, server, clients, control, sink, history = built
-        cpu_start = time.process_time()
-        try:
-            if math.isinf(lookahead):
-                # Shard-closed workload: one unbounded window, stopping
-                # exactly at this LP's quota-done event.
-                with relaxed_gc():
-                    sim.run(until=control.done_event)
-                done_at = sim.now
-            else:
-                done_at = _run_windows(conn, sim, control)
-        except SimulationError as exc:
-            raise RuntimeError(
-                f"LP shard {shard} stalled after {control.finished} "
-                f"transactions: {exc}") from exc
-        except KeyError as exc:
-            if "unknown destination site" in str(exc):
-                raise RuntimeError(
-                    f"cross-LP message in shard {shard} ({exc}): the "
-                    f"workload broke the cross_shard_probability=0 "
-                    f"contract") from exc
-            raise
-        cpu_seconds = time.process_time() - cpu_start
-        payload = _shard_payload(config, shard, sim, network, server,
-                                 clients, control, sink, history, done_at,
-                                 check_serializability)
-        payload["cpu_seconds"] = cpu_seconds
-        conn.send(("result", payload))
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
-
-
-def _run_windows(conn, sim, control):
-    """Finite-lookahead path: drain parent-granted windows until done.
-
-    The quota-done event is a heap entry at the time the last managed
-    client finished; its callback captures that timestamp so ``duration``
-    matches the serial run even when the granted window runs a few idle
-    wakeups past it.
-    """
-    from repro.sim.engine import relaxed_gc
-
-    done_box = []
-    control.done_event.add_callback(lambda _event: done_box.append(sim.now))
-    conn.send(("ready", sim.peek(), control.done))
-    with relaxed_gc():
-        while True:
-            command = conn.recv()
-            if command[0] == "finish":
-                break
-            next_when = sim.run_window(command[1])
-            done = control.done
-            conn.send(("at", math.inf if done else next_when, done))
-    if not done_box:
-        raise RuntimeError("LP windows exhausted before quota completion")
-    return done_box[0]
-
-
-def _recv(conn, proc, shard):
-    """One message from a worker, with error translation."""
-    try:
-        message = conn.recv()
-    except EOFError:
+        with relaxed_gc():
+            sim.run(until=control.done_event)
+    except SimulationError as exc:
         raise RuntimeError(
-            f"LP worker for shard {shard} died without a result "
-            f"(exitcode {proc.exitcode})") from None
-    if message[0] == "error":
-        raise RuntimeError(f"LP worker for shard {shard} failed: "
-                           f"{message[1]}")
-    return message
-
-
-def _drive_windows(workers, lookahead):
-    """Parent side of the conservative window protocol."""
-    states = []
-    for shard, (proc, conn) in enumerate(workers):
-        _tag, next_when, done = _recv(conn, proc, shard)
-        states.append((next_when, done))
-    while not all(done for _next_when, done in states):
-        floor = min(next_when for next_when, done in states if not done)
-        if math.isinf(floor):
+            f"LP shard {shard} stalled after {control.finished} "
+            f"transactions: {exc}") from exc
+    except KeyError as exc:
+        if "unknown destination site" in str(exc):
             raise RuntimeError(
-                "LP window scheduler wedged: an unfinished shard has an "
-                "empty event heap")
-        horizon = floor + lookahead
-        active = [shard for shard, (_next_when, done) in enumerate(states)
-                  if not done]
-        for shard in active:
-            workers[shard][1].send(("window", horizon))
-        for shard in active:
-            proc, conn = workers[shard]
-            _tag, next_when, done = _recv(conn, proc, shard)
-            states[shard] = (next_when, done)
-    payloads = []
-    for shard, (proc, conn) in enumerate(workers):
-        conn.send(("finish",))
-        _tag, payload = _recv(conn, proc, shard)
-        payloads.append(payload)
-    return payloads
+                f"cross-LP message in shard {shard} ({exc}): the "
+                f"workload broke the cross_shard_probability=0 "
+                f"contract") from exc
+        raise
+    cpu_seconds = time.process_time() - cpu_start
+    payload = _shard_payload(config, shard, sim, network, server, clients,
+                             sink, history, check_serializability)
+    payload["cpu_seconds"] = cpu_seconds
+    return payload
 
 
 def _merge_results(config, seed, payloads, wall_seconds):
@@ -465,51 +349,22 @@ def _merge_results(config, seed, payloads, wall_seconds):
     )
 
 
-def run_lp_simulation(config, seed=None, check_serializability=None,
-                      lookahead=None):
+def run_lp_simulation(config, seed=None, check_serializability=None):
     """Run one simulation as ``n_shards`` logical processes and return a
     :class:`~repro.core.runner.SimulationResult` bit-identical to the
-    serial run.
-
-    ``lookahead`` overrides the derived synchronization lookahead (test
-    hook: a finite value forces the windowed protocol even though a
-    shard-local workload needs no synchronization at all).
-    """
+    serial run."""
     validate_lp_config(config)
     if seed is None:
         seed = config.seed
     if check_serializability is None:
         check_serializability = config.record_history
-    if lookahead is None:
-        lookahead = derive_lookahead(config)
-    if not lookahead > 0.0:
-        raise ValueError(f"lookahead must be positive, got {lookahead!r}")
 
     wall_start = time.perf_counter()
-    ctx = get_context("spawn")
-    workers = []
-    try:
-        for shard in range(config.n_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_lp_worker,
-                args=(child_conn, config, seed, shard, lookahead,
-                      check_serializability),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            workers.append((proc, parent_conn))
-        if math.isinf(lookahead):
-            payloads = [_recv(conn, proc, shard)[1]
-                        for shard, (proc, conn) in enumerate(workers)]
-        else:
-            payloads = _drive_windows(workers, lookahead)
-    finally:
-        for proc, conn in workers:
-            conn.close()
-            proc.join(timeout=_JOIN_TIMEOUT)
-            if proc.is_alive():  # pragma: no cover - wedged worker
-                proc.terminate()
-                proc.join(timeout=5.0)
+    with ProcessPoolExecutor(max_workers=config.n_shards,
+                             mp_context=get_context("spawn")) as pool:
+        futures = [pool.submit(_lp_worker, config, seed, shard,
+                               check_serializability)
+                   for shard in range(config.n_shards)]
+        payloads = [future.result() for future in futures]
     wall_seconds = time.perf_counter() - wall_start
     return _merge_results(config, seed, payloads, wall_seconds)

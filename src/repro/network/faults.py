@@ -233,10 +233,9 @@ class FaultInjector:
         self.spec = spec
         # Bound C draws: ``Random.random`` is a C method, so binding it once
         # and calling it directly is the cheapest per-decision draw CPython
-        # offers. (A BufferedStream wrapper was benchmarked here and *lost*:
-        # its Python-level random() costs more than the C call it batches.
-        # The sequences are identical either way, so this is purely a speed
-        # choice.)
+        # offers. (A Python-level buffered-draw wrapper was benchmarked
+        # here, lost to the C call it batched, and was removed; see
+        # EXPERIMENTS.md.)
         self._loss_random = streams.stream("loss").random
         self._dup_random = streams.stream("dup").random
         self._jitter_random = streams.stream("jitter").random

@@ -3,38 +3,32 @@
 ``Network.send`` is on the kernel's hot path (one call per protocol
 message), so the transport is built fast-path style:
 
-* the send implementation is **selected once per run** — plain, traced,
-  or faulted — and bound directly as the instance's ``send`` attribute,
-  so per-message code never re-checks ``sim.tracer`` or ``faults``
-  (:meth:`Network.refresh_fast_path` re-selects; the tracer's
-  ``bind_network`` calls it when tracing attaches after construction);
+* the send implementation is **selected once per run** — one per mode:
+  plain, traced, or faulted — and bound directly as the instance's
+  ``send`` attribute, so per-message code never re-checks ``sim.tracer``
+  or ``faults`` (:meth:`Network.refresh_fast_path` re-selects; the
+  tracer's ``bind_network`` calls it when tracing attaches after
+  construction);
 * per-(src, dst) link latency is **memoised** in a flat dict — the
-  topology object is consulted once per pair, not once per message —
-  with the bandwidth term's reciprocal-free division kept bit-identical
-  to the unmemoised arithmetic;
+  topology object is consulted once per pair, not once per message;
 * payload traffic classes are cached per payload *type* instead of
   re-deriving ``type(...).__name__`` (plus wrapper unwrapping) per send.
 
-All fast paths produce byte-identical trajectories to the original
-single-path implementation: same envelope fields, same heap timestamps
-(including the ``now + (deliver - now)`` float quirk of the original
-relative scheduling), same FIFO clamping, same stats.
-
-Batched delivery (the default; ``config.batch_delivery``) goes one step
-further: consecutive sends on the same (src, dst) link that compute the
-*same* delivery timestamp coalesce into one heap entry holding a mutable
-list, which fans out on pop.  Coalescing is only allowed while the batch
-entry is the most recent heap push — every scheduling call allocates a
-sequence number, so ``seq == batch.last_seq + 1`` proves nothing was
-scheduled in between — which makes the fan-out order provably identical
-to the unbatched per-message heap order (each appended message consumes
-the very sequence number its own heap entry would have carried).  The
-engine's logical-delivery counters (``Simulator._hidden`` /
-``_extra_events`` / ``_batch_peak``) keep ``pending``,
-``processed_events`` and ``peak_heap_depth`` identical to an unbatched
-run.  The faulted path never batches (jitter makes shared timestamps
-rare and duplicates complicate fan-out), and batching turns itself off
-under the per-heap-entry engine trace hook.
+The plain and traced sends batch delivery: consecutive sends on the
+same (src, dst) link that compute the *same* delivery timestamp coalesce
+into one heap entry holding a mutable list, which fans out on pop.
+Coalescing is only allowed while the batch entry is the most recent heap
+push — every scheduling call allocates a sequence number, so
+``seq == batch.last_seq + 1`` proves nothing was scheduled in between —
+which makes the fan-out order exactly the order one heap entry per
+message would pop in (each appended message consumes the very sequence
+number its own heap entry would have carried).  The engine's
+logical-delivery counters (``Simulator._hidden`` / ``_extra_events`` /
+``_batch_peak``) keep ``pending``, ``processed_events`` and
+``peak_heap_depth`` counting deliveries, not heap nodes.  The committed
+goldens (``repro.perf.goldens``) equal the runs with one heap entry per
+message and pin that equivalence.  The faulted path never batches
+(jitter makes shared timestamps rare and duplicates complicate fan-out).
 """
 
 import heapq
@@ -123,8 +117,7 @@ class Network(SiteRegistry):
     endpoint.
     """
 
-    def __init__(self, sim, topology, bandwidth=None, faults=None,
-                 batch_delivery=True):
+    def __init__(self, sim, topology, bandwidth=None, faults=None):
         if bandwidth is not None and bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
         super().__init__()
@@ -132,7 +125,6 @@ class Network(SiteRegistry):
         self.topology = topology
         self.bandwidth = bandwidth
         self.faults = faults
-        self.batch_delivery = batch_delivery
         self.stats = NetworkStats()
         self._last_deliver = {}  # (src, dst) -> last scheduled delivery time
         self._latency_cache = {}  # (src, dst) -> topology latency
@@ -151,40 +143,16 @@ class Network(SiteRegistry):
         tracer or faults checks.
         """
         tracer = self._tracer = self.sim.tracer
-        # Per-heap-entry engine tracing samples every dispatch; a batch
-        # entry would collapse k dispatch samples into one, so batching
-        # stands down when that hook is armed.
-        batch = (self.batch_delivery and self.faults is None
-                 and (tracer is None or not tracer.engine_events))
         self._open_batches.clear()
         self._thunk_cache.clear()
         if self.faults is not None:
             self.send = self._send_faulted
         elif tracer is not None:
-            self.send = (self._send_traced_batched if batch
-                         else self._send_traced)
+            self.send = self._send_traced_batched
         else:
-            self.send = (self._send_plain_batched if batch
-                         else self._send_plain)
+            self.send = self._send_plain_batched
         self._deliver_impl = (self._deliver_plain if tracer is None
                               else self._deliver_traced)
-
-    # -- delay model ---------------------------------------------------------
-
-    def _base_latency(self, src, dst):
-        cache = self._latency_cache
-        key = (src, dst)
-        latency = cache.get(key)
-        if latency is None:
-            latency = cache[key] = self.topology.latency(src, dst)
-        return latency
-
-    def delay(self, src, dst, size=1.0):
-        """Total wire delay for a message of ``size`` between two sites."""
-        latency = self._base_latency(src, dst)
-        if self.bandwidth is not None:
-            latency += size / self.bandwidth
-        return latency
 
     # -- send fast paths -----------------------------------------------------
     #
@@ -206,50 +174,6 @@ class Network(SiteRegistry):
         self.refresh_fast_path()
         return self.send(src, dst, payload, size=size)
 
-    def _send_plain(self, src, dst, payload, size=1.0):
-        """Fast path: no tracer, no faults — the common benchmark cell."""
-        sites = self._sites
-        if dst not in sites:
-            raise KeyError(f"unknown destination site {dst!r}")
-        if src not in sites:
-            raise KeyError(f"unknown source site {src!r}")
-        sim = self.sim
-        now = sim._now
-        envelope = Envelope(src, dst, payload, size, now)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.data_units_sent += size
-        kind = payload_kind(payload)
-        per_type = stats.per_type
-        per_type[kind] = per_type.get(kind, 0) + 1
-        latency_cache = self._latency_cache
-        key = (src, dst)
-        latency = latency_cache.get(key)
-        if latency is None:
-            latency = latency_cache[key] = self.topology.latency(src, dst)
-        if self.bandwidth is not None:
-            latency = latency + size / self.bandwidth
-        deliver = now + latency
-        last = self._last_deliver
-        prev = last.get(key)
-        if prev is not None and prev > deliver:
-            deliver = prev
-        last[key] = deliver
-        # now + (deliver - now): the exact float the original relative
-        # call_later produced; scheduling at `deliver` directly could move
-        # the heap timestamp by one ulp and reorder ties.
-        sim.schedule_at(now + (deliver - now), self._deliver_impl, envelope)
-        envelope.deliver_time = deliver
-        return envelope
-
-    def _send_traced(self, src, dst, payload, size=1.0):
-        """Tracer attached, no faults."""
-        envelope = self._send_plain(src, dst, payload, size)
-        tracer = self._tracer
-        tracer.net_scheduled(envelope)
-        tracer.net_send(envelope, payload_kind(payload))
-        return envelope
-
     # -- batched sends -------------------------------------------------------
     #
     # A batch record is ``[key, items, when, last_seq, fn]``; the heap
@@ -261,9 +185,8 @@ class Network(SiteRegistry):
     # equivalent to pushing a fresh per-message entry, because the
     # appended message consumes the very sequence number that entry would
     # have carried.  Only stock protocol sites batch; a site with a
-    # custom ``receive`` (or a reliable channel) keeps the classic
-    # one-entry-per-message schedule, which is faster for traffic that
-    # can never coalesce.
+    # custom ``receive`` (or a reliable channel) gets one heap entry per
+    # message, which is faster for traffic that can never coalesce.
 
     def _resolve_thunk(self, dst):
         """Pick the per-destination delivery treatment once per run.
@@ -271,7 +194,7 @@ class Network(SiteRegistry):
         Stock dispatcher sites with no reliable channel batch, taking the
         payload straight into ``_dispatch`` (untraced) or the envelope
         into ``receive`` (traced).  Anything else returns False: those
-        destinations use the classic unbatched schedule.
+        destinations get one heap entry per message.
         """
         site = self._sites[dst]
         from repro.protocols.base import _Dispatcher
@@ -315,8 +238,9 @@ class Network(SiteRegistry):
             deliver = prev
         last[key] = deliver
         envelope.deliver_time = deliver
-        # now + (deliver - now): the exact float the unbatched path
-        # schedules at (see _send_plain).
+        # now + (deliver - now), not deliver: the relative-delay float
+        # every send path schedules at (scheduling at `deliver` directly
+        # could move the heap timestamp by one ulp and reorder ties).
         when = now + (deliver - now)
         cache = self._thunk_cache
         fn = cache[dst] if dst in cache else self._resolve_thunk(dst)
@@ -394,11 +318,11 @@ class Network(SiteRegistry):
         """Fan a coalesced entry out in append (= sequence) order.
 
         The record is closed first so a handler's same-timestamp send on
-        this link opens a fresh entry (it pops right after this one —
-        unbatched order).  Depth samples and the extra-delivery count are
-        reported per logical delivery, so engine diagnostics match the
-        unbatched run exactly (``k - idx`` deliveries of this batch are
-        still pending when delivery ``idx`` is sampled).
+        this link opens a fresh entry (it pops right after this one, as a
+        per-message entry would).  Depth samples and the extra-delivery
+        count are reported per logical delivery, so engine diagnostics
+        count deliveries, not heap nodes (``k - idx`` deliveries of this
+        batch are still pending when delivery ``idx`` is sampled).
         """
         open_batches = self._open_batches
         key = rec[0]
@@ -426,8 +350,8 @@ class Network(SiteRegistry):
         sim._extra_events += k - 1
 
     def _deliver_batch_traced(self, rec):
-        """Traced fan-out: ``net_delivered`` fires per envelope, exactly
-        as the unbatched per-entry deliveries would."""
+        """Traced fan-out: ``net_delivered`` fires once per envelope, in
+        sequence order."""
         open_batches = self._open_batches
         key = rec[0]
         if open_batches.get(key) is rec:
@@ -503,7 +427,7 @@ class Network(SiteRegistry):
             fstats.delivered += 1
             # Clamp again against our own earlier copies (a duplicate with
             # less jitter must not overtake the first copy), then schedule
-            # with the exact float the original relative call_later built.
+            # at the same relative-delay float as the batched sends.
             prev = last.get(key)
             if prev is not None and prev > deliver:
                 deliver = prev
@@ -524,7 +448,7 @@ class Network(SiteRegistry):
                 tracer.net_dropped(envelope, "partition")
             for _ in range(fstats.duplicated - pre_dup):
                 tracer.net_duplicated(envelope)
-            tracer.net_send(envelope, payload_kind(payload))
+            tracer.net_send(envelope, kind)
         return envelope
 
     # -- delivery ------------------------------------------------------------
@@ -535,7 +459,3 @@ class Network(SiteRegistry):
     def _deliver_traced(self, envelope):
         self._tracer.net_delivered(envelope)
         self._sites[envelope.dst].receive(envelope)
-
-    def _deliver(self, envelope):
-        # Back-compat alias for the pre-fast-path entry point.
-        self._deliver_impl(envelope)

@@ -115,8 +115,6 @@ def write_chrome_trace(path, trace):
                 "name": fields["kind"],
                 "args": {"id": fields["id"], "size": fields["size"]},
             })
-        elif kind.startswith("engine."):
-            continue  # too hot for a useful timeline
         else:
             args = {key: value for key, value in fields.items()
                     if isinstance(value, (int, float, str, bool))

@@ -2,8 +2,6 @@
 
 #: event kind -> required field names (extra fields are allowed)
 EVENT_SCHEMA = {
-    # sim engine (only with engine-event tracing enabled)
-    "engine.dispatch": frozenset({"depth"}),
     # network
     "msg.send": frozenset({"id", "src", "dst", "kind", "size", "deliver"}),
     "msg.deliver": frozenset({"id", "src", "dst"}),

@@ -88,9 +88,8 @@ class _TxnAcc:
 class Tracer:
     """Collects structured events and per-transaction accounting."""
 
-    def __init__(self, sim, engine_events=False):
+    def __init__(self, sim):
         self.sim = sim
-        self.engine_events = engine_events
         self.network = None
         self.events = []
         self.probes = []
@@ -125,12 +124,6 @@ class Tracer:
 
     def emit(self, kind, /, **fields):
         self.events.append((self.sim.now, kind, fields))
-
-    # -- engine --------------------------------------------------------------
-
-    def engine_dispatch(self, when, depth):
-        """Per-heap-entry event; only wired up when ``engine_events``."""
-        self.events.append((when, "engine.dispatch", {"depth": depth}))
 
     # -- network -------------------------------------------------------------
 

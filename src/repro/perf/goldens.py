@@ -3,10 +3,13 @@ script).
 
 Each golden pins the canonical fingerprint (see
 :mod:`repro.perf.fingerprint`) of one small but representative run:
-plain, traced, and faulted cells for both protocols. They were captured
-on the pre-fast-path kernel; every kernel optimization since must
-reproduce them byte for byte, serially and under the process pool,
-which is what :mod:`tests.test_fastpath_replay` asserts.
+a plain cell per protocol family plus traced, faulted, sharded, LP and
+adaptive cells. Every committed golden equals the run on a transport
+that gives each message its own heap entry (checked before that
+transport was removed), so replaying it also proves that batched
+delivery moves no trajectory. Every kernel optimization must reproduce
+them byte for byte, serially and under the process pool, which is what
+:mod:`tests.test_fastpath_replay` asserts.
 
 Only regenerate them (``scripts/refresh_goldens.py``) when a change
 *intentionally* alters trajectories — never to paper over an unexplained
@@ -36,6 +39,25 @@ GOLDEN_CELLS = {
         protocol="s2pl", n_clients=6, n_items=8, read_probability=0.6,
         network_latency=100.0, total_transactions=120,
         warmup_transactions=20, record_history=False), 11),
+    # The remaining protocol families, same shape and seed as the two
+    # cells above (tests/test_batching.py checks them per family).
+    "g2pl_basic_plain": (dict(
+        protocol="g2pl-basic", n_clients=6, n_items=8,
+        read_probability=0.6, network_latency=100.0,
+        total_transactions=120, warmup_transactions=20,
+        record_history=False), 11),
+    "g2pl_ro_plain": (dict(
+        protocol="g2pl-ro", n_clients=6, n_items=8, read_probability=0.6,
+        network_latency=100.0, total_transactions=120,
+        warmup_transactions=20, record_history=False), 11),
+    "c2pl_plain": (dict(
+        protocol="c2pl", n_clients=6, n_items=8, read_probability=0.6,
+        network_latency=100.0, total_transactions=120,
+        warmup_transactions=20, record_history=False), 11),
+    "2v2pl_plain": (dict(
+        protocol="2v2pl", n_clients=6, n_items=8, read_probability=0.6,
+        network_latency=100.0, total_transactions=120,
+        warmup_transactions=20, record_history=False), 11),
     "g2pl_faulted": (dict(
         protocol="g2pl", n_clients=5, n_items=6, read_probability=0.6,
         network_latency=100.0, total_transactions=100,
@@ -51,6 +73,11 @@ GOLDEN_CELLS = {
         network_latency=100.0, total_transactions=120,
         warmup_transactions=20, trace=True, probe_interval=150.0,
         record_history=False), 11),
+    "s2pl_traced": (dict(
+        protocol="s2pl", n_clients=6, n_items=8, read_probability=0.6,
+        network_latency=100.0, total_transactions=120,
+        warmup_transactions=20, trace=True, probe_interval=150.0,
+        record_history=False), 11),
     "s2pl_sharded_traced": (dict(
         protocol="s2pl", n_clients=6, n_items=8, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.5,
@@ -63,6 +90,12 @@ GOLDEN_CELLS = {
         commit_protocol="2pc-opt", network_latency=100.0,
         intra_region_latency=1.0, total_transactions=120,
         warmup_transactions=20, record_history=False), 11),
+    "g2pl_sharded_plain": (dict(
+        protocol="g2pl", n_clients=6, n_items=8, read_probability=0.6,
+        n_shards=4, n_regions=2, cross_shard_probability=0.5,
+        network_latency=100.0, intra_region_latency=1.0,
+        total_transactions=120, warmup_transactions=20,
+        record_history=False), 11),
     "g2pl_sharded_traced": (dict(
         protocol="g2pl", n_clients=6, n_items=8, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.5,

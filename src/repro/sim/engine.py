@@ -3,30 +3,29 @@
 The run loop is the hottest code in the repository — every message
 delivery, timeout, and process resumption passes through it — so it is
 written fast-path style: heap and counters are bound to locals for the
-duration of a run (written back on exit, including on error), the tracer
-hook is resolved once per run instead of per dispatch, and heap entries
-are dispatched straight from the popped tuple without re-packing.
+duration of a run (written back on exit, including on error), and heap
+entries are dispatched straight from the popped tuple without
+re-packing.
 
 Heap entries are ``(when, seq, callback, args)`` tuples; cancellable
 entries (armed by :meth:`Simulator.call_later_cancellable`, used by
 :class:`~repro.sim.timers.Timer`) carry a fifth element, a one-slot
 mutable token.  Cancelling flips the token and the pop loop *skips* the
 entry instead of invoking a dead callback — lazy deletion, since removing
-from the middle of a heap is O(n).  Skipped entries still advance the
-clock, the processed-events counter, and the engine trace hook exactly as
-the live no-op call used to, so diagnostics and traces stay bit-identical
-with pre-fast-path kernels; they are additionally counted in
-:attr:`Simulator.cancelled_events`.
+from the middle of a heap is O(n).  A skipped entry still advances the
+clock and the processed-events counter like any other pop, and is
+additionally counted in :attr:`Simulator.cancelled_events`.
 
-Batched delivery (``network/transport.py``) may hide several logical
+Batched delivery (``network/transport.py``) hides several logical
 deliveries behind one heap entry that fans out on pop.  The engine's
 diagnostics stay *logical*: the transport keeps :attr:`Simulator._hidden`
 equal to the number of deliveries hidden behind batch heads still on the
 heap, so ``pending`` and the per-pop depth samples count deliveries, not
 batch nodes; the fan-out reports its extra deliveries and intra-batch
 depth samples through ``_extra_events`` / ``_batch_peak``, which the
-``processed_events`` / ``peak_heap_depth`` properties fold back in.  All
-counters therefore match an unbatched run exactly.
+``processed_events`` / ``peak_heap_depth`` properties fold back in.  The
+counters therefore equal those of a schedule with one heap entry per
+message.
 """
 
 import gc
@@ -97,11 +96,9 @@ class Simulator:
         """Total number of *logical* events processed so far (diagnostics).
 
         Includes cancelled-timer entries: they are popped and skipped, but
-        they occupied the heap and the dispatch loop all the same (and were
-        processed as no-op calls before lazy deletion existed, so the
-        counter is comparable across kernel versions).  Deliveries fanned
-        out of a coalesced batch entry each count as one event, exactly as
-        their unbatched heap entries would have.
+        they occupy the heap and the dispatch loop all the same.
+        Deliveries fanned out of a coalesced batch entry each count as one
+        event, as if each had its own heap entry.
         """
         return self._event_count + self._extra_events
 
@@ -110,8 +107,8 @@ class Simulator:
         """Deepest the *logical* event backlog has been while processing.
 
         With batched delivery a heap node may stand for several pending
-        deliveries; the depth samples count those individually, so the
-        value is identical to an unbatched run's."""
+        deliveries; the depth samples count those individually, as if
+        each delivery had its own heap entry."""
         return (self._peak_heap if self._peak_heap >= self._batch_peak
                 else self._batch_peak)
 
@@ -120,13 +117,6 @@ class Simulator:
         """Heap entries popped and skipped because their timer had been
         cancelled (lazy deletion; see :meth:`call_later_cancellable`)."""
         return self._cancelled_count
-
-    def _engine_hook(self):
-        """The per-dispatch tracer callback, or None (the common case)."""
-        tracer = self.tracer
-        if tracer is not None and tracer.engine_events:
-            return tracer.engine_dispatch
-        return None
 
     # -- event construction -------------------------------------------------
 
@@ -224,65 +214,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {horizon} which is before now={self._now}")
         heap = self._heap
-        hook = self._engine_hook()
-        heappop = heapq.heappop
-        events = self._event_count
-        peak = self._peak_heap
-        cancelled = self._cancelled_count
-        try:
-            if hook is None:
-                while heap:
-                    when = heap[0][0]
-                    if when > horizon:
-                        break
-                    depth = len(heap) + self._hidden
-                    if depth > peak:
-                        peak = depth
-                    entry = heappop(heap)
-                    self._now = when
-                    events += 1
-                    if len(entry) == 5 and entry[4][0]:
-                        cancelled += 1
-                        continue
-                    entry[2](*entry[3])
-            else:
-                while heap:
-                    when = heap[0][0]
-                    if when > horizon:
-                        break
-                    depth = len(heap) + self._hidden
-                    if depth > peak:
-                        peak = depth
-                    entry = heappop(heap)
-                    self._now = when
-                    events += 1
-                    hook(when, depth)
-                    if len(entry) == 5 and entry[4][0]:
-                        cancelled += 1
-                        continue
-                    entry[2](*entry[3])
-        finally:
-            self._event_count = events
-            self._peak_heap = peak
-            self._cancelled_count = cancelled
-        if horizon != float("inf"):
-            self._now = horizon
-        return None
-
-    def run_window(self, horizon):
-        """Process every entry strictly before ``horizon``; leave the rest.
-
-        The conservative-synchronization primitive for LP-partitioned runs
-        (``repro.core.lp``): a logical process is granted a window
-        ``[now, horizon)`` during which no other partition can inject an
-        event, drains exactly that window, and reports back.  Unlike
-        :meth:`run`, entries *at* the horizon are not processed and the
-        clock is not advanced to the horizon — the next window's grant
-        depends on the true next-event time, which this method returns
-        (``inf`` when the heap drained).
-        """
-        heap = self._heap
-        hook = self._engine_hook()
         heappop = heapq.heappop
         events = self._event_count
         peak = self._peak_heap
@@ -290,7 +221,7 @@ class Simulator:
         try:
             while heap:
                 when = heap[0][0]
-                if when >= horizon:
+                if when > horizon:
                     break
                 depth = len(heap) + self._hidden
                 if depth > peak:
@@ -298,8 +229,6 @@ class Simulator:
                 entry = heappop(heap)
                 self._now = when
                 events += 1
-                if hook is not None:
-                    hook(when, depth)
                 if len(entry) == 5 and entry[4][0]:
                     cancelled += 1
                     continue
@@ -308,13 +237,14 @@ class Simulator:
             self._event_count = events
             self._peak_heap = peak
             self._cancelled_count = cancelled
-        return heap[0][0] if heap else float("inf")
+        if horizon != float("inf"):
+            self._now = horizon
+        return None
 
     def _run_until_event(self, event):
         done = []
         event.add_callback(done.append)
         heap = self._heap
-        hook = self._engine_hook()
         heappop = heapq.heappop
         events = self._event_count
         peak = self._peak_heap
@@ -327,8 +257,6 @@ class Simulator:
                 entry = heappop(heap)
                 self._now = entry[0]
                 events += 1
-                if hook is not None:
-                    hook(entry[0], depth)
                 if len(entry) == 5 and entry[4][0]:
                     cancelled += 1
                     continue
@@ -366,7 +294,3 @@ class Simulator:
         """Number of logical events currently pending (batch entries count
         once per delivery they will fan out)."""
         return len(self._heap) + self._hidden
-
-    def peek(self):
-        """Timestamp of the next heap entry, or ``inf`` when drained."""
-        return self._heap[0][0] if self._heap else float("inf")

@@ -1,15 +1,16 @@
 """Batched delivery must be invisible: bit-identical trajectories.
 
-Batched delivery (``config.batch_delivery``, on by default) coalesces
-same-timestamp deliveries on one link into a single heap entry that
-fans out on pop.  That is a pure scheduling-representation change: the
-fan-out replays the exact per-message heap order, so every protocol
-family must produce byte-for-byte the same result fingerprint with
-batching on or off — serially and under the spawn pool, traced and
-faulted included.  These tests pin that invariant, plus the logical
-engine counters (``processed_events`` / ``peak_heap_depth`` /
-``cancelled_events`` / ``pending``) that must count deliveries, not
-batch nodes.
+The plain and traced sends coalesce same-timestamp deliveries on one
+link into a single heap entry that fans out on pop.  That is a pure
+scheduling-representation change: the fan-out replays the exact
+per-message heap order.  The reference is committed: every golden cell
+(:mod:`repro.perf.goldens`) equals the run on a transport that gave each
+message its own heap entry, so each protocol family, and the faulted,
+traced and sharded cells, must reproduce its golden byte for byte —
+serially and under the spawn pool.  These tests pin that invariant,
+plus the logical engine counters (``processed_events`` /
+``peak_heap_depth`` / ``cancelled_events`` / ``pending``) that must
+count deliveries, not batch nodes.
 """
 
 import pytest
@@ -18,9 +19,17 @@ from repro.core.config import SimulationConfig
 from repro.core.parallel import SimulationCell, run_cells
 from repro.core.runner import run_simulation
 from repro.perf.fingerprint import fingerprint_digest, result_fingerprint
+from repro.perf.goldens import GOLDEN_CELLS, load_golden
 
-#: one representative per protocol family (g2pl variants share a family)
-FAMILIES = ("s2pl", "g2pl", "g2pl-basic", "g2pl-ro", "c2pl", "2v2pl")
+#: protocol family -> its golden cell (g2pl variants share a family)
+FAMILIES = {
+    "s2pl": "s2pl_plain",
+    "g2pl": "g2pl_plain",
+    "g2pl-basic": "g2pl_basic_plain",
+    "g2pl-ro": "g2pl_ro_plain",
+    "c2pl": "c2pl_plain",
+    "2v2pl": "2v2pl_plain",
+}
 
 _FAULTS = "loss=0.05,dup=0.02,jitter=20,crash=2@2000:4000"
 
@@ -34,81 +43,69 @@ def _base(protocol, **overrides):
     return kwargs
 
 
-def _digest_pair(kwargs, seed):
-    batched = run_simulation(
-        SimulationConfig(**kwargs, batch_delivery=True), seed=seed)
-    unbatched = run_simulation(
-        SimulationConfig(**kwargs, batch_delivery=False), seed=seed)
-    return batched, unbatched
+def _assert_matches_golden(cell, result):
+    golden = load_golden(cell)
+    fingerprint = result_fingerprint(result)
+    assert fingerprint == golden["fingerprint"], (
+        f"{cell}: batched delivery changed the trajectory")
+    assert fingerprint_digest(fingerprint) == golden["digest"]
 
 
-def _assert_identical(batched, unbatched):
-    fp_b = result_fingerprint(batched)
-    fp_u = result_fingerprint(unbatched)
-    assert fp_b == fp_u, "batched delivery changed the trajectory"
-    assert fingerprint_digest(fp_b) == fingerprint_digest(fp_u)
+def _replay(cell, kwargs, seed):
+    # The golden must be this exact run, or the comparison proves nothing.
+    assert GOLDEN_CELLS[cell] == (kwargs, seed)
+    _assert_matches_golden(
+        cell, run_simulation(SimulationConfig(**kwargs), seed=seed))
 
 
 class TestSerialIdentity:
-    @pytest.mark.parametrize("protocol", FAMILIES)
+    @pytest.mark.parametrize("protocol", sorted(FAMILIES))
     def test_family_is_batch_invariant(self, protocol):
-        batched, unbatched = _digest_pair(_base(protocol), seed=11)
-        _assert_identical(batched, unbatched)
+        _replay(FAMILIES[protocol], _base(protocol), seed=11)
 
     def test_faulted_run_is_batch_invariant(self):
-        # the faulted send path never batches, but the flag must still
-        # round-trip to an identical result
-        batched, unbatched = _digest_pair(
-            _base("g2pl", n_clients=5, n_items=6, faults=_FAULTS,
-                  total_transactions=100, warmup_transactions=15), seed=7)
-        _assert_identical(batched, unbatched)
+        # the faulted send path never batches; its golden pins it anyway
+        _replay("g2pl_faulted",
+                _base("g2pl", n_clients=5, n_items=6, faults=_FAULTS,
+                      total_transactions=100, warmup_transactions=15),
+                seed=7)
 
     def test_traced_run_is_batch_invariant(self):
-        batched, unbatched = _digest_pair(
-            _base("s2pl", trace=True, probe_interval=150.0), seed=11)
-        _assert_identical(batched, unbatched)
+        _replay("s2pl_traced",
+                _base("s2pl", trace=True, probe_interval=150.0), seed=11)
 
     def test_sharded_run_is_batch_invariant(self):
-        batched, unbatched = _digest_pair(
-            _base("g2pl", n_shards=4, n_regions=2,
-                  cross_shard_probability=0.5,
-                  intra_region_latency=1.0), seed=11)
-        _assert_identical(batched, unbatched)
+        _replay("g2pl_sharded_plain",
+                _base("g2pl", n_shards=4, n_regions=2,
+                      cross_shard_probability=0.5,
+                      intra_region_latency=1.0), seed=11)
 
 
 class TestPooledIdentity:
     def test_all_families_batch_invariant_at_jobs_4(self):
-        seeds = {name: 11 for name in FAMILIES}
-        cells = []
-        for flag in (True, False):
-            for name in FAMILIES:
-                cells.append(SimulationCell(
-                    config=SimulationConfig(**_base(name),
-                                            batch_delivery=flag),
-                    seed=seeds[name]))
+        names = sorted(FAMILIES)
+        cells = [SimulationCell(config=SimulationConfig(**_base(name)),
+                                seed=11)
+                 for name in names]
         results = run_cells(cells, jobs=4)
-        half = len(FAMILIES)
-        for name, batched, unbatched in zip(
-                FAMILIES, results[:half], results[half:]):
-            fp_b = result_fingerprint(batched)
-            fp_u = result_fingerprint(unbatched)
-            assert fp_b == fp_u, (
-                f"{name}: pooled batched run diverged from unbatched")
+        for name, result in zip(names, results):
+            _assert_matches_golden(FAMILIES[name], result)
 
 
 class TestLogicalEngineStats:
-    """Satellite: the engine counters must see through batch nodes."""
+    """The engine counters must see through batch nodes."""
 
     def test_engine_stats_count_logical_deliveries(self):
         # High fan-in on one link (many clients, one server, uniform
-        # latency) so batching actually coalesces; the logical counters
-        # must nevertheless match the unbatched run exactly.
-        kwargs = _base("g2pl", n_clients=12, n_items=8)
-        batched, unbatched = _digest_pair(kwargs, seed=23)
-        for key in ("processed_events", "peak_heap_depth",
-                    "cancelled_events"):
-            assert batched.engine_stats[key] == unbatched.engine_stats[key], (
-                f"engine stat {key} counts batch nodes, not deliveries")
+        # latency) so batching actually coalesces.  The expected values
+        # were recorded with one heap entry per message.
+        result = run_simulation(
+            SimulationConfig(**_base("g2pl", n_clients=12, n_items=8)),
+            seed=23)
+        stats = result.engine_stats
+        assert stats["processed_events"] == 1876
+        assert stats["peak_heap_depth"] == 19
+        assert stats["cancelled_events"] == 0
 
     def test_pending_and_fanout_are_logical(self):
         from repro.network.topology import UniformTopology

@@ -135,12 +135,10 @@ def test_step_processes_one_entry():
     assert sim.step() is False
 
 
-def test_peek_and_pending():
+def test_pending_counts_scheduled_entries():
     sim = Simulator()
-    assert sim.peek() == float("inf")
     assert sim.pending == 0
     sim.call_later(3.5, lambda: None)
-    assert sim.peek() == 3.5
     assert sim.pending == 1
 
 
